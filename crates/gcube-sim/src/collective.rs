@@ -284,6 +284,11 @@ impl OpTracker {
         &self.ops
     }
 
+    /// The records, for merging shards' disjoint outcomes into them.
+    pub fn ops_mut(&mut self) -> &mut [OpStat] {
+        &mut self.ops
+    }
+
     /// Rebuild a tracker from checkpointed records; the position index is
     /// derived (it is a pure function of the record list).
     pub fn from_ops(ops: Vec<OpStat>) -> Self {

@@ -34,11 +34,13 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod injection;
+mod ledger;
 pub mod metrics;
 pub mod packet;
 pub mod profiler;
 pub mod proto;
 pub mod replay;
+mod replica;
 pub mod runner;
 pub mod server;
 pub mod session;

@@ -457,7 +457,7 @@ impl Server {
             "\"cycle\":{},\"done\":{},\"in_flight\":{},\"health\":{},\"service_class\":{}",
             entry.core.cycle,
             entry.core.is_done(),
-            entry.core.in_flight,
+            entry.core.in_flight(),
             proto::quote(entry.health()),
             proto::quote(entry.service_class()),
         );

@@ -1,8 +1,5 @@
-//! The `SimSession` builder — the simulator's single front door.
-//!
-//! The engine used to grow one entry point per observer combination
-//! (`run`, `run_report`, `run_traced`, `run_instrumented<S, T>`); the
-//! sharded engine would have forced a fifth. A session composes instead:
+//! The `SimSession` builder — the simulator's single front door: thread
+//! count and observers compose on one session.
 //!
 //! ```
 //! use gcube_sim::{MemorySink, SimConfig, Simulator, FaultFreeGcr};
@@ -242,7 +239,7 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> Stepper<'s, 'a, S,
 
     /// Packets currently in flight.
     pub fn in_flight(&self) -> u64 {
-        self.core.in_flight
+        self.core.in_flight()
     }
 
     /// The simulator this run executes on.

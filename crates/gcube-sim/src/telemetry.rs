@@ -130,34 +130,12 @@ pub trait TelemetrySink {
         false
     }
 
-    /// One packet moved over a link in dimension `dim`.
-    #[inline]
-    fn hop(&mut self, _dim: u32) {}
-
-    /// One packet was successfully injected.
-    #[inline]
-    fn inject(&mut self) {}
-
-    /// One packet was delivered.
-    #[inline]
-    fn deliver(&mut self) {}
-
-    /// One *collective* packet (broadcast/multicast/gather wave member)
-    /// was delivered. Fires in addition to [`TelemetrySink::deliver`], so
-    /// the unicast share of a window is `delivered - collective_delivered`.
-    #[inline]
-    fn collective_deliver(&mut self) {}
-
     /// A cached broadcast tree was repaired against a new fault
     /// generation: regrafted in place, or — when `rebuilt` — rebuilt from
     /// scratch because no cached tree for the root existed. Coordinator-
     /// only in sharded runs (exactly once per repair, like reroutes).
     #[inline]
     fn tree_repair(&mut self, _rebuilt: bool) {}
-
-    /// One packet was dropped.
-    #[inline]
-    fn drop_packet(&mut self) {}
 
     /// One packet was re-planned in place.
     #[inline]
@@ -183,20 +161,14 @@ pub trait TelemetrySink {
     #[inline]
     fn health_transition(&mut self, _cycle: u64, _from: HealthState, _to: HealthState) {}
 
-    /// A multitree plan switched trees `switches` times (and fell back to
-    /// FTGCR when `exhausted`). Called once per planned route carrying
-    /// tree data; single-tree strategies never call it.
-    #[inline]
-    fn tree_activity(&mut self, _switches: u64, _exhausted: bool) {}
-
     /// Wall-clock nanoseconds spent in `phase` this cycle. Never exported
     /// to the deterministic CSV/JSONL streams.
     #[inline]
     fn phase_time(&mut self, _phase: Phase, _nanos: u64) {}
 
-    /// Fold in a worker shard's per-cycle delta (sharded runs only; the
-    /// coordinator absorbs every worker's delta before `end_cycle`, so
-    /// window sums are identical to the sequential engine's).
+    /// Fold in one cycle's per-packet counts. Each engine absorbs every
+    /// packet ledger's delta once per cycle, before `end_cycle` — one
+    /// delta in a sequential run, one per shard in a sharded run.
     #[inline]
     fn absorb_shard(&mut self, _delta: &ShardTelemetry) {}
 
@@ -222,12 +194,12 @@ impl TelemetrySink for NullTelemetry {
     }
 }
 
-/// A worker shard's telemetry counters for one cycle, shipped to the
-/// coordinator at the cycle's telemetry barrier and folded in via
-/// [`TelemetrySink::absorb_shard`]. Carries exactly the counters workers
-/// account locally in a sharded run; everything else (reroutes, stale
-/// views, fault events, health) is coordinator-owned and reaches the sink
-/// through the ordinary hooks.
+/// One packet ledger's per-packet counts for one cycle, folded into the
+/// sink via [`TelemetrySink::absorb_shard`]. The sequential engine
+/// absorbs its ledger's delta once per cycle; a sharded run ships each
+/// worker's delta to the coordinator at the cycle's telemetry barrier.
+/// Network-wide events (reroutes, stale views, fault events, health) are
+/// not packet counts and reach the sink through the ordinary hooks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardTelemetry {
     /// Link traversals per dimension this cycle.
@@ -239,13 +211,13 @@ pub struct ShardTelemetry {
     /// Collective packets among `delivered` (broadcast/multicast/gather
     /// wave members sunk at this shard's nodes this cycle).
     pub collective_delivered: u64,
-    /// Packets this shard dropped this cycle (stranding and TTL; recovery
-    /// drops are resolved — and accounted — by the coordinator).
+    /// Packets this shard dropped this cycle (in a sharded run the
+    /// coordinator accounts every recovery drop).
     pub dropped: u64,
-    /// Tree switches across this shard's injection plans this cycle
-    /// (multitree strategies only; recovery replans are coordinator-owned).
+    /// Tree switches across this shard's plans this cycle (multitree
+    /// strategies only).
     pub tree_switches: u64,
-    /// Injection plans that exhausted every tree and fell back to FTGCR.
+    /// Plans that exhausted every tree and fell back to FTGCR.
     pub tree_exhausted: u64,
 }
 
@@ -295,28 +267,8 @@ impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
         (**self).wants_sample(cycle)
     }
     #[inline]
-    fn hop(&mut self, dim: u32) {
-        (**self).hop(dim)
-    }
-    #[inline]
-    fn inject(&mut self) {
-        (**self).inject()
-    }
-    #[inline]
-    fn deliver(&mut self) {
-        (**self).deliver()
-    }
-    #[inline]
-    fn collective_deliver(&mut self) {
-        (**self).collective_deliver()
-    }
-    #[inline]
     fn tree_repair(&mut self, rebuilt: bool) {
         (**self).tree_repair(rebuilt)
-    }
-    #[inline]
-    fn drop_packet(&mut self) {
-        (**self).drop_packet()
     }
     #[inline]
     fn reroute(&mut self) {
@@ -341,10 +293,6 @@ impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
     #[inline]
     fn health_transition(&mut self, cycle: u64, from: HealthState, to: HealthState) {
         (**self).health_transition(cycle, from, to)
-    }
-    #[inline]
-    fn tree_activity(&mut self, switches: u64, exhausted: bool) {
-        (**self).tree_activity(switches, exhausted)
     }
     #[inline]
     fn phase_time(&mut self, phase: Phase, nanos: u64) {
@@ -1059,30 +1007,6 @@ impl TelemetrySink for TelemetryCollector {
     }
 
     #[inline]
-    fn hop(&mut self, dim: u32) {
-        self.acc.dim_hops[dim as usize] += 1;
-        self.dim_hops_total[dim as usize] += 1;
-    }
-
-    #[inline]
-    fn inject(&mut self) {
-        self.acc.injected += 1;
-        self.injected_total += 1;
-    }
-
-    #[inline]
-    fn deliver(&mut self) {
-        self.acc.delivered += 1;
-        self.delivered_total += 1;
-    }
-
-    #[inline]
-    fn collective_deliver(&mut self) {
-        self.acc.collective_delivered += 1;
-        self.collective_delivered_total += 1;
-    }
-
-    #[inline]
     fn tree_repair(&mut self, rebuilt: bool) {
         if rebuilt {
             self.acc.tree_rebuilds += 1;
@@ -1091,12 +1015,6 @@ impl TelemetrySink for TelemetryCollector {
             self.acc.tree_regrafts += 1;
             self.tree_regrafts_total += 1;
         }
-    }
-
-    #[inline]
-    fn drop_packet(&mut self) {
-        self.acc.dropped += 1;
-        self.dropped_total += 1;
     }
 
     #[inline]
@@ -1131,16 +1049,6 @@ impl TelemetrySink for TelemetryCollector {
 
     fn health_transition(&mut self, cycle: u64, from: HealthState, to: HealthState) {
         self.transitions.push(HealthTransition { cycle, from, to });
-    }
-
-    #[inline]
-    fn tree_activity(&mut self, switches: u64, exhausted: bool) {
-        self.acc.tree_switches += switches;
-        self.tree_switches_total += switches;
-        if exhausted {
-            self.acc.tree_exhausted += 1;
-            self.tree_exhausted_total += 1;
-        }
     }
 
     #[inline]
@@ -1194,6 +1102,17 @@ mod tests {
     /// Class-aggregate slices for a quiet network (all 4 classes empty).
     const IDLE: [u64; 4] = [0; 4];
 
+    /// A one-cycle ledger delta: one hop per entry of `dims`, plus
+    /// `injected` injections.
+    fn delta(dims: &[usize], injected: u64) -> ShardTelemetry {
+        let mut d = ShardTelemetry::new(gc().n() as usize);
+        for &dim in dims {
+            d.dim_hops[dim] += 1;
+        }
+        d.injected = injected;
+        d
+    }
+
     fn view<'a>(
         cycle: u64,
         class_queued: &'a [u64],
@@ -1216,9 +1135,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
         for cycle in 0..25u64 {
-            c.hop(0);
-            c.hop(3);
-            c.inject();
+            c.absorb_shard(&delta(&[0, 3], 1));
             assert_eq!(c.wants_sample(cycle), (cycle + 1) % 10 == 0);
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
@@ -1261,7 +1178,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::with_capacity(&g, 1, 4);
         for cycle in 0..10u64 {
-            c.hop(1);
+            c.absorb_shard(&delta(&[1], 0));
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
         assert_eq!(c.len(), 4);
@@ -1292,37 +1209,29 @@ mod tests {
     }
 
     #[test]
-    fn absorb_shard_matches_individual_hooks() {
+    fn absorb_shard_is_additive() {
         let g = gc();
-        let mut merged = TelemetryCollector::new(&g, 1);
-        let mut direct = TelemetryCollector::new(&g, 1);
-        let mut delta = ShardTelemetry::new(g.n() as usize);
-        delta.dim_hops[0] = 2;
-        delta.dim_hops[4] = 1;
-        delta.injected = 3;
-        delta.delivered = 2;
-        delta.dropped = 1;
-        merged.absorb_shard(&delta);
-        for _ in 0..2 {
-            direct.hop(0);
-        }
-        direct.hop(4);
-        for _ in 0..3 {
-            direct.inject();
-        }
-        for _ in 0..2 {
-            direct.deliver();
-        }
-        direct.drop_packet();
-        for c in [&mut merged, &mut direct] {
+        let mut whole = TelemetryCollector::new(&g, 1);
+        let mut split = TelemetryCollector::new(&g, 1);
+        let mut a = delta(&[0, 0, 4], 3);
+        a.delivered = 2;
+        a.dropped = 1;
+        whole.absorb_shard(&a);
+        let mut b = delta(&[0], 1);
+        b.delivered = 2;
+        split.absorb_shard(&b);
+        let mut rest = delta(&[0, 4], 2);
+        rest.dropped = 1;
+        split.absorb_shard(&rest);
+        for c in [&mut whole, &mut split] {
             c.end_cycle(view(0, &IDLE, &IDLE, HealthState::Healthy));
         }
         assert_eq!(
-            merged.samples().next().unwrap(),
-            direct.samples().next().unwrap()
+            whole.samples().next().unwrap(),
+            split.samples().next().unwrap()
         );
-        assert_eq!(merged.packet_totals(), (3, 2, 1));
-        assert_eq!(merged.forwarded_hops_total(), 3);
+        assert_eq!(whole.packet_totals(), (3, 2, 1));
+        assert_eq!(whole.forwarded_hops_total(), 3);
     }
 
     #[test]
@@ -1330,7 +1239,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 5);
         for cycle in 0..20u64 {
-            c.hop((cycle % 6) as u32);
+            c.absorb_shard(&delta(&[(cycle % 6) as usize], 0));
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
         let csv = c.to_csv();
@@ -1437,7 +1346,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
         for cycle in 0..30u64 {
-            c.hop(2);
+            c.absorb_shard(&delta(&[2], 0));
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
         c.health_transition(7, HealthState::Healthy, HealthState::Degraded);
