@@ -15,15 +15,24 @@
 //! shardable configuration is also run on two threads and must produce
 //! the identical record.
 //!
+//! A second table pins the stepper and checkpoint path: each
+//! configuration is stepped to a fixed mid-run cycle with a trace sink
+//! attached, and the FNV-1a digest of its checkpoint text is pinned.
+//! The stepped run is then finished and must reproduce the metrics and
+//! the trace of the run-to-completion record.
+//!
 //! A mismatch prints the recorded and the produced values, digests in
 //! hex, so an intended behaviour change is re-recorded by pasting the
 //! `got` values — but only with a changelog entry explaining why the
 //! outputs moved.
 
+use std::cell::Cell;
+
 use gcube_sim::{
     trace, CachedFtgcr, CategoryMix, CollectiveOp, FaultFreeGcr, FaultKind, FaultSchedule,
     FaultTarget, FaultTolerantGcr, KnowledgeModel, MemorySink, Metrics, MultiTreeStrategy,
     ProfileCollector, RoutingAlgorithm, SimConfig, Simulator, TelemetryCollector, TimedFault,
+    TraceEvent, TraceSink,
 };
 use gcube_topology::NodeId;
 
@@ -288,6 +297,72 @@ fn outputs_match_the_recorded_goldens() {
                 want.show(),
                 rec.show()
             ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// The cycle every stepped run pauses at to take its checkpoint.
+const PAUSE: u64 = 100;
+
+/// FNV-1a digests of `checkpoint(mark).to_text()` at cycle [`PAUSE`],
+/// where `mark` is the number of trace events emitted so far.
+const CHECKPOINTS: &[(&str, u64)] = &[
+    ("static-ffgcr", 0xb8c92233cae1cba1),
+    ("static-ftgcr-faults", 0xd60cec2cf0811f79),
+    ("paper-delay-churn-drops", 0x7dfe80dc77d8c3ef),
+    ("broadcast-churn", 0x9bcf60d01575febc),
+    ("multitree-clustered", 0x038641f1b263ccf3),
+    ("finite-buffers", 0x14ff9627faf8485f),
+];
+
+/// A memory sink that also counts its events where the test can read
+/// the count while a stepper holds the sink.
+struct Counted<'c> {
+    sink: MemorySink,
+    count: &'c Cell<u64>,
+}
+
+impl TraceSink for Counted<'_> {
+    fn record(&mut self, event: &TraceEvent) {
+        self.count.set(self.count.get() + 1);
+        self.sink.record(event);
+    }
+}
+
+#[test]
+fn stepped_checkpoints_match_the_recorded_goldens() {
+    let mut mismatches = Vec::new();
+    for (name, cfg, algo, _, _) in cases() {
+        let (metrics, rec) = record(&cfg, &*algo(), 1);
+        let algo = algo();
+        let sim = Simulator::new(cfg, &*algo);
+        let count = Cell::new(0);
+        let mut sink = Counted {
+            sink: MemorySink::new(),
+            count: &count,
+        };
+        let mut stepper = sim.session().trace(&mut sink).stepper();
+        assert!(!stepper.step_many(PAUSE), "{name}: ended before the pause");
+        let text = stepper
+            .checkpoint(count.get())
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .to_text();
+        while !stepper.step() {}
+        let stepped = stepper.finish().metrics;
+        assert_eq!(stepped, metrics, "{name}: the stepped run diverged");
+        let stepped_trace = fnv1a(trace::to_jsonl(sink.sink.events()).as_bytes());
+        assert_eq!(
+            stepped_trace, rec.trace,
+            "{name}: the stepped trace diverged"
+        );
+        let got = fnv1a(text.as_bytes());
+        let want = CHECKPOINTS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, d)| d);
+        if want != Some(got) {
+            mismatches.push(format!("{name}: want {want:#018x?} got {got:#018x}"));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
