@@ -94,12 +94,19 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest. Requests and checkpoint
+/// sections use a handful of levels; the cap keeps a hostile line of
+/// brackets from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parse one JSON document (object, array, or scalar). Trailing
 /// non-whitespace is an error — a line holds exactly one value.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -111,8 +118,11 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -146,8 +156,12 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
@@ -159,6 +173,16 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
@@ -230,12 +254,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape whole:
+                    // both stops are ASCII, so the run is valid UTF-8.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -834,6 +861,43 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("nul").is_err());
         assert!(parse_json("\"open").is_err());
+    }
+
+    /// A line of a million `[` must fail cleanly, not overflow the stack.
+    #[test]
+    fn json_caps_nesting_depth() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse_json(&deep).unwrap_err().contains("nesting"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&over).is_err());
+    }
+
+    /// A 4 MiB string (escapes and multi-byte characters included)
+    /// decodes in linear time and round-trips.
+    #[test]
+    fn json_long_string_round_trips() {
+        let long = "a\"é\u{1F600}".repeat(4 << 20 >> 3);
+        assert!(long.len() >= 4 << 20);
+        let v = parse_json(&format!("{{\"op\":{}}}", quote(&long))).unwrap();
+        assert_eq!(v.get("op").and_then(JsonValue::as_str), Some(long.as_str()));
+    }
+
+    /// The daemon answers both hostile lines with `bad_request`.
+    #[test]
+    fn hostile_lines_are_bad_requests() {
+        use crate::server::{Server, ServerConfig};
+        let server = Server::new(ServerConfig::default());
+        let long = format!("{{\"op\":\"{}\"}}", "a".repeat(4 << 20));
+        for line in ["[".repeat(1_000_000), long] {
+            let reply = server.handle_line(&line);
+            let v = parse_json(reply.text.lines().next().unwrap()).unwrap();
+            assert_eq!(
+                v.get("code").and_then(JsonValue::as_str),
+                Some("bad_request")
+            );
+        }
     }
 
     #[test]
