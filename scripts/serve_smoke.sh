@@ -5,10 +5,13 @@
 #
 # Flow:
 #   1. start `gcube serve` on a Unix socket,
-#   2. drive $SESSIONS concurrent seeded sessions through it, each on its
+#   2. send one hostile client's lines — a million `[` and a 4 MiB
+#      string — and require two `bad_request` replies from a daemon that
+#      is still running,
+#   3. drive $SESSIONS concurrent seeded sessions through it, each on its
 #      own `gcube serve --connect` client (session s1 additionally
 #      snapshots at cycle 60 and restores onto itself before finishing),
-#   3. replay every session as an equivalent `gcube run --threads 1`
+#   4. replay every session as an equivalent `gcube run --threads 1`
 #      invocation and gate trace + telemetry through `gcube analyze diff`
 #      plus a strict byte comparison.
 set -euo pipefail
@@ -31,6 +34,19 @@ for _ in $(seq 100); do
   sleep 0.1
 done
 [ -S "$SOCK" ] || { echo "serve-smoke: daemon socket never appeared" >&2; exit 1; }
+
+# Hostile client: neither line may take the daemon down.
+{
+  head -c 1000000 /dev/zero | tr '\0' '['
+  echo
+  printf '{"op":"'
+  head -c $((4 << 20)) /dev/zero | tr '\0' a
+  printf '"}\n'
+} | "$BIN" serve --connect "$SOCK" > "$WORK/hostile.replies.jsonl"
+[ "$(grep -c '"code":"bad_request"' "$WORK/hostile.replies.jsonl")" = 2 ] \
+  || { echo "serve-smoke: hostile lines did not both get bad_request" >&2; exit 1; }
+kill -0 "$DAEMON_PID" 2>/dev/null \
+  || { echo "serve-smoke: the daemon died on hostile input" >&2; exit 1; }
 
 # GC(10, 4) under static faults plus FTGCR — the same run shape the CLI
 # comparison below re-executes. inject/drain/warmup mirror what
