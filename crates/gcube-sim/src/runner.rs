@@ -30,31 +30,13 @@ pub fn run_sweep(
     algorithm: &dyn RoutingAlgorithm,
     threads: usize,
 ) -> Vec<SweepPoint> {
-    let threads = threads.max(1);
-    let results: Mutex<Vec<Option<SweepPoint>>> = Mutex::new(vec![None; configs.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(configs.len().max(1)) {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let sim = Simulator::new(configs[i].clone(), algorithm);
-                let metrics = sim.session().run().metrics;
-                results.lock()[i] = Some(SweepPoint {
-                    config: configs[i].clone(),
-                    algorithm: algorithm.name(),
-                    metrics,
-                });
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-    results
-        .into_inner()
+    run_churn_sweep(configs, algorithm, threads)
         .into_iter()
-        .map(|p| p.expect("every sweep point filled"))
+        .map(|p| SweepPoint {
+            config: p.config,
+            algorithm: p.algorithm,
+            metrics: p.report.metrics,
+        })
         .collect()
 }
 
@@ -70,8 +52,9 @@ pub struct ChurnPoint {
     pub report: ChurnReport,
 }
 
-/// Like [`run_sweep`], but keeping each run's [`ChurnReport`] so callers
-/// can plot degradation-under-churn curves. Input order is preserved.
+/// Run every `(config, algorithm)` pair, `threads`-wide, keeping each
+/// run's [`ChurnReport`] so callers can plot degradation-under-churn
+/// curves. Input order is preserved.
 pub fn run_churn_sweep(
     configs: &[SimConfig],
     algorithm: &dyn RoutingAlgorithm,
@@ -97,11 +80,11 @@ pub fn run_churn_sweep(
             });
         }
     })
-    .expect("churn sweep worker panicked");
+    .expect("sweep worker panicked");
     results
         .into_inner()
         .into_iter()
-        .map(|p| p.expect("every churn point filled"))
+        .map(|p| p.expect("every sweep point filled"))
         .collect()
 }
 
