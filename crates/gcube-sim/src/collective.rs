@@ -57,8 +57,8 @@ pub fn op_of(id: u64) -> u64 {
 
 /// Pack `(op, rank)` into a collective packet id. `rank` is the target's
 /// BFS position in the tree (root = 0, so real targets start at 1): it
-/// doubles as the deterministic tie-breaker that keeps the sharded
-/// engine's event merge in sequential order.
+/// doubles as the deterministic tie-breaker that keeps a sharded run's
+/// event merge in one-shard order.
 #[inline]
 fn encode(op: u64, rank: u32) -> u64 {
     debug_assert!(op < 1 << (63 - OP_SHIFT), "op index overflows the id");
@@ -230,10 +230,10 @@ impl CollectivePlanner {
     }
 }
 
-/// Per-engine (or per-shard) collective completion records: one
+/// Per-shard collective completion records: one
 /// [`OpStat`] per launched operation, updated as the operation's packets
 /// resolve. Shards each track their own copy — identical metadata,
-/// disjoint outcome counts — and the coordinator merges them
+/// disjoint outcome counts — and shard 0 merges them
 /// positionally with [`crate::metrics::merge_ops`].
 #[derive(Default)]
 pub(crate) struct OpTracker {

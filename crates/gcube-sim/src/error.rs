@@ -36,8 +36,8 @@ pub enum SimError {
         /// Human-readable reason from the topology layer.
         reason: String,
     },
-    /// Finite per-node buffers (backpressure) are only defined for the
-    /// sequential engine: cross-shard capacity checks would need mid-cycle
+    /// Finite per-node buffers (backpressure) are only defined for a
+    /// one-shard run: cross-shard capacity checks would need mid-cycle
     /// coordination, so `--threads` above 1 rejects them.
     FiniteBuffersRequireSingleThread,
     /// The collective traffic class injects a whole broadcast wave in one

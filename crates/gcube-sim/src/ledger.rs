@@ -1,12 +1,10 @@
 //! The packet ledger: which counters each packet event moves.
 //!
-//! Both engines account through a [`PacketLedger`] — one per sequential
-//! run, one per shard in a sharded run. It owns the run's [`Metrics`],
-//! the [`WindowStat`] series, the collective [`OpTracker`] and a
-//! [`ShardTelemetry`] delta, and each method accounts one packet event
-//! in all of them and narrates the [`TraceEvent`] it implies into the
-//! caller's [`TraceSink`]. The sequential engine passes its sink; shards
-//! pass a keyed buffer that the coordinator merges into sequential order.
+//! Every shard accounts through its own [`PacketLedger`]. It owns the
+//! shard's [`Metrics`], the [`WindowStat`] series, the collective
+//! [`OpTracker`] and a [`ShardTelemetry`] delta, and each method
+//! accounts one packet event in all of them and narrates the
+//! [`TraceEvent`] it implies into the caller's [`TraceSink`].
 //!
 //! The telemetry delta is the only way per-packet counts reach a
 //! [`TelemetrySink`]: the engine absorbs it once per cycle, before

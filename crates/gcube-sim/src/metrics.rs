@@ -334,9 +334,9 @@ impl Metrics {
     }
 
     /// Fold another ledger into this one: every additive counter is
-    /// summed and the histograms merged bucket-wise. The shard engine
-    /// reduces worker ledgers with this; the run-level fields the
-    /// coordinator sets exactly once — [`Metrics::nodes`],
+    /// summed and the histograms merged bucket-wise. A sharded run
+    /// reduces worker ledgers with this; the run-level fields shard 0
+    /// sets exactly once — [`Metrics::nodes`],
     /// [`Metrics::cycles`], [`Metrics::in_flight_at_end`] — are left
     /// untouched.
     pub fn absorb(&mut self, other: &Metrics) {

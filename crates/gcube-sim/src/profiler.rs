@@ -2,9 +2,8 @@
 //! family next to [`crate::trace::TraceSink`] and
 //! [`crate::telemetry::TelemetrySink`].
 //!
-//! The shard engine computes a number of quantities every cycle that it
-//! then throws away — how many injection requests the coordinator
-//! planned, how many packets advanced, how the per-ending-class queues
+//! The engine computes a number of quantities every cycle that it then
+//! throws away — how many injection requests were planned, how many packets advanced, how the per-ending-class queues
 //! are balanced, how long each worker sat in the barrier versus doing
 //! work, how many plan units each thread stole off the shared cursor,
 //! and how many packets/events crossed the exchange mailboxes. A
@@ -22,8 +21,7 @@
 //!   queue depth/occupancy and the derived load-imbalance factor, and
 //!   plan-cache hit/miss deltas. These are pure functions of the
 //!   [`SimConfig`](crate::config::SimConfig) and routing algorithm:
-//!   bitwise identical between the sequential engine and the sharded
-//!   engine at *any* thread count, and therefore replay-comparable
+//!   bitwise identical at *any* thread count, and therefore replay-comparable
 //!   (the `analyze` run-diff mode and the CI 1-vs-4-thread gate diff
 //!   exactly these fields).
 //! * **Report-only fields** — wall-clock phase times, per-shard
@@ -56,10 +54,9 @@ pub const DEFAULT_PROFILE_RING: usize = 4096;
 /// One cycle's worth of deterministic counters, handed to
 /// [`ProfilerSink::cycle_sample`] at the end of every cycle.
 ///
-/// Every field is identical between the sequential and sharded engines:
-/// the borrowed class slices are the same end-of-cycle snapshots the
-/// telemetry reduction folds, and `cache` is fetched at a quiescent
-/// point in both engines.
+/// Every field is identical at any thread count: the borrowed class
+/// slices are the same end-of-cycle snapshots the telemetry reduction
+/// folds, and `cache` is fetched at a quiescent point.
 #[derive(Clone, Copy, Debug)]
 pub struct ProfSample<'a> {
     /// Cycle index (0-based).
@@ -82,7 +79,7 @@ pub struct ProfSample<'a> {
 }
 
 /// Whole-run, per-shard counters published by each worker (and the
-/// coordinator, shard 0) when it exits. **Report-only**: steal claims
+/// core's shard 0) when it exits. **Report-only**: steal claims
 /// race on the plan cursor and the nano fields are wall clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardProfile {
@@ -148,8 +145,8 @@ pub trait ProfilerSink {
     /// Wall-clock time spent in `phase` (report-only).
     fn phase_time(&mut self, _phase: Phase, _nanos: u64) {}
 
-    /// Whole-run counters for one shard (report-only). The sequential
-    /// engine emits none; the sharded engine emits one per shard.
+    /// Whole-run counters for one shard (report-only). A one-shard run
+    /// emits none; a sharded run emits one per shard.
     fn shard_profile(&mut self, _shard: usize, _profile: &ShardProfile) {}
 
     /// The run ended after `cycles` cycles on `shards` shards.

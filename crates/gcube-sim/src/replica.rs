@@ -6,15 +6,15 @@
 //! reconvergence deadline. [`FaultReplica::advance`] is the whole of the
 //! cycle's phase 0: it applies the cycle's fault events and decides when
 //! the view catches up with the truth (immediately under the oracle,
-//! after the paper's claim-4 exchange delay otherwise). The sequential
-//! engine owns one replica; every shard owns an identical one.
+//! after the paper's claim-4 exchange delay otherwise). Every shard owns
+//! an identical replica.
 //!
 //! [`recover`] is FTGCR's recovery rule for a packet whose next hop
 //! proved dead: the holder's local discovery enters the view, then the
 //! TTL check, then the re-route budget check, then a replan from the
-//! packet's current node. Both engines resolve blocked packets through
-//! it — the sequential engine inline, the shard engine on its
-//! coordinator, which broadcasts the view mutations it returns.
+//! packet's current node. A one-shard run applies it inline during the
+//! forwarding scan; a sharded run applies it on shard 0, which
+//! broadcasts the view mutations it returns.
 
 use gcube_routing::{FaultSet, Route};
 use gcube_topology::{LinkId, NodeId, Topology};
@@ -127,8 +127,8 @@ impl FaultReplica {
     }
 }
 
-/// A routing-view mutation discovered during recovery. The shard
-/// coordinator publishes each one so every replica applies them in the
+/// A routing-view mutation discovered during recovery. Shard 0 of a
+/// sharded run publishes each one so every replica applies them in the
 /// same order.
 #[derive(Clone, Copy)]
 pub(crate) enum ViewOp {

@@ -166,9 +166,8 @@ pub trait TelemetrySink {
     #[inline]
     fn phase_time(&mut self, _phase: Phase, _nanos: u64) {}
 
-    /// Fold in one cycle's per-packet counts. Each engine absorbs every
-    /// packet ledger's delta once per cycle, before `end_cycle` — one
-    /// delta in a sequential run, one per shard in a sharded run.
+    /// Fold in one cycle's per-packet counts: the engine absorbs every
+    /// shard's ledger delta once per cycle, before `end_cycle`.
     #[inline]
     fn absorb_shard(&mut self, _delta: &ShardTelemetry) {}
 
@@ -195,9 +194,8 @@ impl TelemetrySink for NullTelemetry {
 }
 
 /// One packet ledger's per-packet counts for one cycle, folded into the
-/// sink via [`TelemetrySink::absorb_shard`]. The sequential engine
-/// absorbs its ledger's delta once per cycle; a sharded run ships each
-/// worker's delta to the coordinator at the cycle's telemetry barrier.
+/// sink via [`TelemetrySink::absorb_shard`]. A sharded run ships each
+/// worker's delta to shard 0 at the cycle's telemetry barrier.
 /// Network-wide events (reroutes, stale views, fault events, health) are
 /// not packet counts and reach the sink through the ordinary hooks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -211,8 +209,8 @@ pub struct ShardTelemetry {
     /// Collective packets among `delivered` (broadcast/multicast/gather
     /// wave members sunk at this shard's nodes this cycle).
     pub collective_delivered: u64,
-    /// Packets this shard dropped this cycle (in a sharded run the
-    /// coordinator accounts every recovery drop).
+    /// Packets this shard dropped this cycle (in a sharded run shard 0
+    /// accounts every recovery drop).
     pub dropped: u64,
     /// Tree switches across this shard's plans this cycle (multitree
     /// strategies only).

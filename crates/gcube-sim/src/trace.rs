@@ -20,9 +20,8 @@
 //!
 //! The engine is seeded and lockstep-synchronised, so the event stream is
 //! a pure function of [`crate::config::SimConfig`] and the routing
-//! algorithm — for *any* thread count: the sharded engine merges
-//! per-shard events back into the exact sequential order before they
-//! reach the sink. [`crate::replay`] re-executes a recorded run and
+//! algorithm — for *any* thread count: a sharded run merges per-shard
+//! events back into the one-shard order before they reach the sink. [`crate::replay`] re-executes a recorded run and
 //! asserts event-for-event equality — a standing determinism check.
 
 use std::fmt;
