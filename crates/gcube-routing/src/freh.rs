@@ -23,7 +23,7 @@
 //! theorem's preconditions; [`CrossingStats::bfs_fallback`] records when it
 //! fired (never, under the preconditions — asserted by tests).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use gcube_topology::{ExchangedHypercube, LinkId, LinkMask, NodeId, Topology};
 
@@ -64,6 +64,17 @@ fn inject(node: NodeId, dims: &[u32], value: u64) -> NodeId {
         }
     }
     NodeId(v)
+}
+
+/// Add `node` to a small set kept as a vector; returns whether it was new.
+/// A crossing masks and lands on a handful of columns, so a linear scan
+/// beats hashing.
+fn insert_new(set: &mut Vec<NodeId>, node: NodeId) -> bool {
+    let new = !set.contains(&node);
+    if new {
+        set.push(node);
+    }
+    new
 }
 
 /// Whether the exchange hop from `node` is usable under the mask.
@@ -116,8 +127,8 @@ where
     let mut stats = CrossingStats::default();
     let mut path = vec![r];
     let mut cur = r;
-    let mut masked: HashSet<NodeId> = HashSet::new();
-    let mut landings: HashSet<NodeId> = HashSet::new();
+    let mut masked: Vec<NodeId> = Vec::new();
+    let mut landings: Vec<NodeId> = Vec::new();
     let dims_of = |side: bool| if side { dims1 } else { dims0 };
     while cur != d && path.len() <= budget {
         let sd = cur.bit(cross_dim);
@@ -142,7 +153,7 @@ where
         // 0-dimension link is also nonfaulty").
         let vc = VirtualCube::from_host(host, mask, cur, own);
         let ideal = inject(cur, own, proj(d, own));
-        if !cross_ok(mask, cur, cross_dim) && masked.insert(cur) {
+        if !cross_ok(mask, cur, cross_dim) && insert_new(&mut masked, cur) {
             stats.masked_columns += 1;
         }
         let Some(w) = best_usable_column(
@@ -154,7 +165,7 @@ where
             let Some((coords, _)) = route_adaptive(&vc, vc.coord(cur), vc.coord(w)) else {
                 // Column unreachable inside the cube: never consider it
                 // again and retry.
-                masked.insert(w);
+                insert_new(&mut masked, w);
                 continue;
             };
             let seg = to_host_path(&vc, &coords);
@@ -164,7 +175,7 @@ where
         cur = cur.flip(cross_dim);
         path.push(cur);
         stats.crossings += 1;
-        if !landings.insert(cur) {
+        if !insert_new(&mut landings, cur) {
             break; // revisited a landing: no progress, use the fallback
         }
     }
@@ -196,8 +207,8 @@ fn best_usable_column<M: LinkMask + ?Sized>(
     other_dims: &[u32],
     d: NodeId,
     cross_dim: u32,
-    masked: &HashSet<NodeId>,
-    landings: &HashSet<NodeId>,
+    masked: &[NodeId],
+    landings: &[NodeId],
 ) -> Option<NodeId> {
     /// Selection key: (exit corner bad, landing seen, dist-to-ideal,
     /// dist-to-cur, coordinate).

@@ -14,6 +14,10 @@
 //!   ([`crate::freh::route_crossing`]) cross at a spare column and bounce to
 //!   restore perturbed coordinates (Theorems 4 and 5).
 //!
+//! Both substrates run only where a fault sits: a segment whose subcube or
+//! crossing block holds no fault is exactly the ascending bit flips they
+//! would return there, and is appended as such (DESIGN.md §8).
+//!
 //! **Flip scheduling (our addition).** The paper's proof sketch walks the
 //! packet through exact intermediate corners (the node of class `k` whose
 //! `Dim(k)` bits are already final); it does not address the case where such
@@ -28,13 +32,13 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use gcube_topology::classes::dims;
-use gcube_topology::{GaussianCube, GaussianTree, NodeId, Topology};
+use gcube_topology::classes::{dim_mask, dims};
+use gcube_topology::{GaussianCube, GaussianTree, LinkId, LinkMask, NodeId, Topology};
 
 use crate::faults::FaultSet;
 use crate::ffgcr;
 use crate::freh::{route_crossing, CrossingStats};
-use crate::hypercube_ft::{route_adaptive, to_host_path, VirtualCube};
+use crate::hypercube_ft::{route_adaptive, to_host_path, VirtualCube, MAX_CUBE_DIMS};
 use crate::plan_cache::PlanCache;
 use crate::route::{Route, RoutingError};
 
@@ -109,21 +113,22 @@ fn default_exec_plan(plan: &ffgcr::Plan) -> ExecPlan {
 
 /// Repair the schedule so every corner is a healthy node: move single flips
 /// between visits of the same class, inserting a bounce (q → r → q) when a
-/// class needs a second visit. Returns the repaired plan and repair counts,
-/// or `None` when no healthy schedule was found within the search budget.
+/// class needs a second visit. Returns the repaired plan with its corners
+/// and records repair counts, or `None` when no healthy schedule was found
+/// within the search budget.
 fn repair_exec_plan(
     gc: &GaussianCube,
     faults: &FaultSet,
     s: NodeId,
     mut ep: ExecPlan,
     stats: &mut FtgcrStats,
-) -> Option<ExecPlan> {
+) -> Option<(ExecPlan, Vec<NodeId>)> {
     let tree = GaussianTree::new(gc.alpha()).expect("alpha within cap");
     let mut bounces = 0;
     'outer: for _attempt in 0..32 {
         let corners = ep.corners(gc, s);
         let bad_i = match corners.iter().position(|&c| faults.is_node_faulty(c)) {
-            None => return Some(ep),
+            None => return Some((ep, corners)),
             Some(i) => i,
         };
         let q = ep.walk[bad_i];
@@ -269,10 +274,15 @@ pub fn route(
 }
 
 /// FTGCR with the plan stage served from a [`PlanCache`]: identical output
-/// to [`route`] (property-tested), with the tree walk memoised instead of
-/// recomputed per packet. Fault repair and crossing detours stay
-/// per-packet — the cache is keyed purely by topology, so fault events
-/// never invalidate it.
+/// to [`route`] (property-tested), with the tree walk and the `Dim(k)`
+/// masks memoised instead of recomputed per packet. The cache is keyed
+/// purely by topology, so fault events never invalidate it.
+///
+/// Fault handling needs no cache: plan repair runs per packet, and each
+/// segment whose block holds no fault replays as plain bit flips. Only a
+/// segment whose block holds a fault builds a virtual cube and runs the
+/// adaptive router or FREH, against that block's faults alone
+/// (DESIGN.md §8).
 pub fn route_cached(
     gc: &GaussianCube,
     faults: &FaultSet,
@@ -307,8 +317,18 @@ fn route_impl(
 
     // α = 0: GC(n,1) is the binary hypercube; route adaptively in one cube.
     if alpha == 0 {
+        let all = (1u64 << n) - 1;
+        let local = BlockFaults::collect(faults, s, all);
+        if local.is_empty() {
+            let mut nodes = vec![s];
+            push_flips(&mut nodes, s, s.0 ^ d.0);
+            return Ok((Route::new(nodes), stats));
+        }
+        if n > MAX_CUBE_DIMS {
+            return Err(RoutingError::BlockTooLarge { dims: n });
+        }
         let all_dims: Vec<u32> = (0..n).collect();
-        let vc = VirtualCube::from_host(gc, faults, s, &all_dims);
+        let vc = VirtualCube::from_host(gc, &local, s, &all_dims);
         let (coords, _) = route_adaptive(&vc, vc.coord(s), vc.coord(d))
             .ok_or(RoutingError::Unreachable { from: s, to: d })?;
         return Ok((Route::new(to_host_path(&vc, &coords)), stats));
@@ -317,7 +337,12 @@ fn route_impl(
     // The default schedule flips each class's pending dimensions at its
     // first visit, whether replayed from the cache or rebuilt from scratch
     // — both paths produce the identical ExecPlan.
-    let (ep, plan_hops) = match cache.filter(|c| c.is_active() && c.matches(gc)) {
+    let active = cache.filter(|c| c.is_active() && c.matches(gc));
+    let class_mask = |k: u64| match active {
+        Some(c) => c.class_dims(k),
+        None => dim_mask(n, alpha, k),
+    };
+    let (ep, plan_hops) = match active {
         Some(c) => {
             let (walk, high) = c.walk_and_flips(gc, s, d);
             let mut flips_at = vec![0u64; walk.classes.len()];
@@ -339,30 +364,42 @@ fn route_impl(
             (default_exec_plan(&plan), hops)
         }
     };
-    let ep = repair_exec_plan(gc, faults, s, ep, &mut stats)
+    let (ep, corners) = repair_exec_plan(gc, faults, s, ep, &mut stats)
         .ok_or(RoutingError::Unreachable { from: s, to: d })?;
-    let corners = ep.corners(gc, s);
     debug_assert_eq!(*corners.last().unwrap(), d, "schedule must end at d");
 
     let tree = GaussianTree::new(alpha).expect("alpha within cap");
-    let mut nodes = vec![s];
+    let mut nodes = Vec::with_capacity(plan_hops + 1);
+    nodes.push(s);
     let mut cur = s;
 
     // Per-crossing hop budget: plan size + generous fault allowance.
     let budget = (plan_hops + 2 * faults.len() + 8) * 4 + 16;
 
+    // Each segment runs inside one block: the GEEC subcube `Dim(k)` for the
+    // source-class flips, the exchanged crossing `Dim(p) ∪ Dim(q) ∪ {c₀}`
+    // for a tree step. On a fault-free block the adaptive router and FREH
+    // both reduce to the plain ascending bit flips (DESIGN.md §8), so only
+    // blocks that hold a fault pay for a virtual cube, and they route
+    // against the block's own short fault list.
     for (i, &k) in ep.walk.iter().enumerate() {
         let target = corners[i];
         if i == 0 {
             if target != cur {
                 // Flips at the source's own class, via adaptive subcube
                 // routing (A faults tolerated).
-                let dim_set = dims(n, alpha, k);
-                let vc = VirtualCube::from_host(gc, faults, cur, &dim_set);
-                let (coords, _) = route_adaptive(&vc, vc.coord(cur), vc.coord(target))
-                    .ok_or(RoutingError::Unreachable { from: s, to: d })?;
-                let seg = to_host_path(&vc, &coords);
-                nodes.extend_from_slice(&seg[1..]);
+                let block = class_mask(k);
+                let local = BlockFaults::collect(faults, cur, block);
+                if local.is_empty() {
+                    push_flips(&mut nodes, cur, cur.0 ^ target.0);
+                } else {
+                    let dim_set = dims(n, alpha, k);
+                    let vc = VirtualCube::from_host(gc, &local, cur, &dim_set);
+                    let (coords, _) = route_adaptive(&vc, vc.coord(cur), vc.coord(target))
+                        .ok_or(RoutingError::Unreachable { from: s, to: d })?;
+                    let seg = to_host_path(&vc, &coords);
+                    nodes.extend_from_slice(&seg[1..]);
+                }
                 cur = target;
             }
             continue;
@@ -371,6 +408,16 @@ fn route_impl(
         let c0 = tree
             .edge_dim(NodeId(p), NodeId(k))
             .expect("plan walk follows tree edges");
+        let (mask_p, mask_q) = (class_mask(p), class_mask(k));
+        let local = BlockFaults::collect(faults, cur, mask_p | mask_q | 1u64 << c0);
+        if local.is_empty() {
+            let landing = cur.flip(c0);
+            nodes.push(landing);
+            push_flips(&mut nodes, landing, landing.0 ^ target.0);
+            stats.crossings += 1;
+            cur = target;
+            continue;
+        }
         let dims_p = dims(n, alpha, p);
         let dims_q = dims(n, alpha, k);
         // `route_crossing` keys the sides off bit c₀ of the node.
@@ -379,7 +426,7 @@ fn route_impl(
         } else {
             (dims_p, dims_q)
         };
-        let (seg, cs) = route_crossing(gc, faults, &dims0, &dims1, c0, cur, target, budget)
+        let (seg, cs) = route_crossing(gc, &local, &dims0, &dims1, c0, cur, target, budget)
             .ok_or(RoutingError::Unreachable { from: s, to: d })?;
         stats.absorb(&cs);
         nodes.extend_from_slice(&seg[1..]);
@@ -391,6 +438,103 @@ fn route_impl(
         return Err(RoutingError::DetourBudgetExceeded { stuck_at: cur });
     }
     Ok((Route::new(nodes), stats))
+}
+
+/// Append the walk from `from` that flips the dimensions in `mask` in
+/// ascending order.
+fn push_flips(nodes: &mut Vec<NodeId>, from: NodeId, mut mask: u64) {
+    let mut cur = from;
+    while mask != 0 {
+        cur = cur.flip(mask.trailing_zeros());
+        nodes.push(cur);
+        mask &= mask - 1;
+    }
+}
+
+/// The faults inside one block: the block's faulty nodes and its faulty
+/// links along the block's dimensions.
+///
+/// A segment routed inside a block queries only these, so it sees the same
+/// answers from this short list as from the whole fault set, at the cost of
+/// a linear scan instead of a hash lookup.
+#[derive(Debug, Default)]
+struct BlockFaults {
+    nodes: Vec<NodeId>,
+    links: Vec<LinkId>,
+}
+
+impl BlockFaults {
+    /// The faults of the block through `member` spanning the dimensions in
+    /// `block`. The method suits the input: scan the fault set when it is
+    /// smaller than the block, otherwise probe the block's nodes and links.
+    fn collect(faults: &FaultSet, member: NodeId, block: u64) -> BlockFaults {
+        let b = block.count_ones();
+        // 2^b nodes plus b·2^(b−1) links.
+        let components = (2 + u128::from(b)) << b >> 1;
+        if (faults.len() as u128) < components {
+            BlockFaults::scan(faults, member, block)
+        } else {
+            BlockFaults::probe(faults, member, block)
+        }
+    }
+
+    /// [`BlockFaults::collect`] by one pass over the fault set.
+    fn scan(faults: &FaultSet, member: NodeId, block: u64) -> BlockFaults {
+        let base = member.0 & !block;
+        BlockFaults {
+            nodes: faults
+                .faulty_nodes()
+                .filter(|v| v.0 & !block == base)
+                .collect(),
+            links: faults
+                .faulty_links()
+                .filter(|l| block >> l.dim & 1 == 1 && l.lo.0 & !block == base)
+                .collect(),
+        }
+    }
+
+    /// [`BlockFaults::collect`] by one lookup per node and link of the
+    /// block.
+    fn probe(faults: &FaultSet, member: NodeId, block: u64) -> BlockFaults {
+        let base = member.0 & !block;
+        let mut out = BlockFaults::default();
+        // Walk every subset of `block`; each link is probed from its bit-0
+        // end.
+        let mut sub = 0u64;
+        loop {
+            let v = NodeId(base | sub);
+            if faults.is_node_faulty(v) {
+                out.nodes.push(v);
+            }
+            let mut up = block & !sub;
+            while up != 0 {
+                let l = LinkId::new(v, up.trailing_zeros());
+                if faults.is_link_faulty(l) {
+                    out.links.push(l);
+                }
+                up &= up - 1;
+            }
+            sub = sub.wrapping_sub(block) & block;
+            if sub == 0 {
+                return out;
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.nodes.is_empty() && self.links.is_empty()
+    }
+}
+
+impl LinkMask for BlockFaults {
+    #[inline]
+    fn node_ok(&self, node: NodeId) -> bool {
+        !self.nodes.contains(&node)
+    }
+    #[inline]
+    fn link_ok(&self, link: LinkId) -> bool {
+        !self.links.contains(&link)
+    }
 }
 
 #[cfg(test)]
@@ -624,6 +768,80 @@ mod tests {
         }
         let st = cache.stats();
         assert!(st.hits > 0, "repeat keys must hit the cache: {st:?}");
+    }
+
+    #[test]
+    fn block_faults_match_brute_force() {
+        // Random fault sets against random blocks: class blocks, crossing
+        // blocks and arbitrary dimension masks. Both methods and the
+        // dispatcher must find exactly the faults that enumerating the
+        // block's nodes and links finds.
+        let gc = GaussianCube::new(8, 4).unwrap();
+        let mut rng = Rng(0x5eed_b10c_c0ff_ee11);
+        let mut branches = [0usize; 2];
+        let sorted = |mut bf: BlockFaults| {
+            bf.nodes.sort_unstable();
+            bf.links.sort_unstable();
+            (bf.nodes, bf.links)
+        };
+        for _trial in 0..400 {
+            let mut f = FaultSet::new();
+            for _ in 0..rng.next() % 40 {
+                let v = NodeId(rng.next() % gc.num_nodes());
+                if rng.next() & 1 == 0 {
+                    f.add_node(v);
+                } else {
+                    f.add_link(LinkId::new(v, (rng.next() % 8) as u32));
+                }
+            }
+            let member = NodeId(rng.next() % gc.num_nodes());
+            let k = member.low_bits(2);
+            let block = match rng.next() % 3 {
+                0 => dim_mask(8, 2, k),
+                1 => dim_mask(8, 2, k) | dim_mask(8, 2, k ^ 1) | 1,
+                _ => rng.next() & 0xff,
+            };
+            let base = member.0 & !block;
+            let members: Vec<NodeId> = (0..gc.num_nodes())
+                .filter(|&v| v & !block == base)
+                .map(NodeId)
+                .collect();
+            let nodes: Vec<NodeId> = members
+                .iter()
+                .copied()
+                .filter(|&v| f.is_node_faulty(v))
+                .collect();
+            let links: BTreeSet<LinkId> = members
+                .iter()
+                .flat_map(|&v| (0..8).map(move |c| LinkId::new(v, c)))
+                .filter(|l| block >> l.dim & 1 == 1 && f.is_link_faulty(*l))
+                .collect();
+            let want = (nodes, links.into_iter().collect::<Vec<_>>());
+            assert_eq!(sorted(BlockFaults::scan(&f, member, block)), want);
+            assert_eq!(sorted(BlockFaults::probe(&f, member, block)), want);
+            assert_eq!(sorted(BlockFaults::collect(&f, member, block)), want);
+            let b = block.count_ones();
+            branches[usize::from(f.len() < (2 + b as usize) << b >> 1)] += 1;
+        }
+        assert!(
+            branches[0] > 20 && branches[1] > 20,
+            "both methods dispatched: {branches:?}"
+        );
+    }
+
+    #[test]
+    fn wide_binary_hypercube_routes_or_errors_without_panicking() {
+        // GC(26,1) is Q_26: too large to materialise as a virtual cube.
+        let gc = GaussianCube::new(26, 1).unwrap();
+        let (r, stats) = route(&gc, &FaultSet::new(), NodeId(0), NodeId(3)).unwrap();
+        assert_eq!(r.nodes(), [NodeId(0), NodeId(1), NodeId(3)]);
+        assert_eq!(stats, FtgcrStats::default());
+        let mut f = FaultSet::new();
+        f.add_node(NodeId(1 << 20));
+        assert_eq!(
+            route(&gc, &f, NodeId(0), NodeId(3)),
+            Err(RoutingError::BlockTooLarge { dims: 26 })
+        );
     }
 
     #[test]

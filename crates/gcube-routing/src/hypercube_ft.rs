@@ -24,6 +24,10 @@
 
 use gcube_topology::{LinkId, LinkMask, NodeId, Topology};
 
+/// Largest virtual cube dimension [`VirtualCube`] materialises: its
+/// per-corner fault tables hold `2^n` entries.
+pub const MAX_CUBE_DIMS: u32 = 25;
+
 /// A hypercube embedded in a host topology: virtual dimension `i` flips the
 /// physical dimension `dims[i]`; all labels share `base`'s bits outside
 /// `dims`.
@@ -47,7 +51,10 @@ impl VirtualCube {
         M: LinkMask + ?Sized,
     {
         let n = dims.len();
-        assert!(n < 26, "virtual cube too large to materialise");
+        assert!(
+            n <= MAX_CUBE_DIMS as usize,
+            "virtual cube too large to materialise"
+        );
         let mut clear = member.0;
         for &d in dims {
             clear &= !(1u64 << d);
@@ -79,6 +86,7 @@ impl VirtualCube {
 
     /// A plain fault-free `Q_n` as a virtual cube (for baselines/tests).
     pub fn plain(n: u32) -> VirtualCube {
+        assert!(n <= MAX_CUBE_DIMS, "virtual cube too large to materialise");
         let dims: Vec<u32> = (0..n).collect();
         let size = 1usize << n;
         VirtualCube {
@@ -206,26 +214,28 @@ pub fn safety_levels(cube: &VirtualCube) -> (Vec<u32>, u32) {
     let mut level: Vec<u32> = (0..size)
         .map(|c| if cube.is_node_faulty(c as u64) { 0 } else { n })
         .collect();
+    // Double buffer: each round reads `level` and writes `next`, then the
+    // two swap. Faulty corners hold 0 in both and are never written.
+    let mut next = level.clone();
+    let mut nbrs = [0u32; MAX_CUBE_DIMS as usize];
+    let nbrs = &mut nbrs[..n as usize];
     let mut rounds = 0;
     loop {
         rounds += 1;
         let mut changed = false;
-        let mut next = level.clone();
         for c in 0..size {
             if cube.is_node_faulty(c as u64) {
                 continue;
             }
             // Gather neighbour levels; a faulty link makes the neighbour
             // *appear* faulty from this side.
-            let mut nbrs: Vec<u32> = (0..n)
-                .map(|i| {
-                    if cube.is_link_faulty(c as u64, i) {
-                        0
-                    } else {
-                        level[c ^ (1usize << i)]
-                    }
-                })
-                .collect();
+            for (i, s) in nbrs.iter_mut().enumerate() {
+                *s = if cube.is_link_faulty(c as u64, i as u32) {
+                    0
+                } else {
+                    level[c ^ (1usize << i)]
+                };
+            }
             nbrs.sort_unstable();
             let mut l = 0u32;
             for (i, &s) in nbrs.iter().enumerate() {
@@ -235,12 +245,10 @@ pub fn safety_levels(cube: &VirtualCube) -> (Vec<u32>, u32) {
                     break;
                 }
             }
-            if l != level[c] {
-                next[c] = l;
-                changed = true;
-            }
+            changed |= l != level[c];
+            next[c] = l;
         }
-        level = next;
+        std::mem::swap(&mut level, &mut next);
         if !changed {
             break;
         }

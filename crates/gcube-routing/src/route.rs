@@ -133,6 +133,13 @@ pub enum RoutingError {
         /// Where the packet was abandoned.
         stuck_at: NodeId,
     },
+    /// A fault-touched subcube has too many dimensions to hold its corner
+    /// tables in memory (the adaptive hypercube router materialises all
+    /// `2^dims` corners).
+    BlockTooLarge {
+        /// Dimensions of the subcube.
+        dims: u32,
+    },
     /// A collective primitive found the (fault-screened) cube disconnected:
     /// some healthy nodes cannot be reached from the root.
     Disconnected {
@@ -171,6 +178,12 @@ impl fmt::Display for RoutingError {
                 write!(
                     f,
                     "detour budget exceeded at {stuck_at} (preconditions violated)"
+                )
+            }
+            RoutingError::BlockTooLarge { dims } => {
+                write!(
+                    f,
+                    "faulty {dims}-dimensional subcube is too large to route around"
                 )
             }
             RoutingError::Disconnected { unreachable } => {

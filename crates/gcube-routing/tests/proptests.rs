@@ -9,10 +9,13 @@ use gcube_routing::collective::{
 };
 use gcube_routing::ct::{ct_walk, steiner_edges};
 use gcube_routing::faults::{link_category, node_category, FaultCategory, FaultSet};
+use gcube_routing::freh::{self, CrossingStats};
+use gcube_routing::hypercube_ft::{route_adaptive, to_host_path, RouteStats, VirtualCube};
 use gcube_routing::multitree::{validate_independence, MultiTreeAtlas, MultiTreeError};
 use gcube_routing::pc::pc_path;
 use gcube_routing::verify::{assign_virtual_channels, ChannelDependencyGraph};
 use gcube_routing::{ffgcr, ftgcr, PlanCache, Route, RoutingError};
+use gcube_topology::classes::dims;
 use gcube_topology::{search, GaussianCube, GaussianTree, LinkId, NoFaults, NodeId, Topology};
 
 fn arb_tree() -> impl Strategy<Value = GaussianTree> {
@@ -436,6 +439,115 @@ proptest! {
             }
             Err(other) => prop_assert!(false, "unexpected error: {}", other),
         }
+    }
+}
+
+/// A random `GC(n, 2^α)` with `α ∈ 1..=3`, a tree edge `p → q` over `c₀`,
+/// a node `cur` of class `p`, the crossing target `cur ⊕ 2^c₀ ⊕ flips`
+/// with `flips ⊆ Dim(q)`, and fault candidates to place outside the block.
+#[allow(clippy::type_complexity)]
+fn arb_clear_crossing(
+) -> impl Strategy<Value = (GaussianCube, u64, u32, u64, u64, Vec<u64>, Vec<(u64, u32)>)> {
+    (1u32..=3)
+        .prop_flat_map(|a| (Just(a), a + 1..=11))
+        .prop_flat_map(|(a, n)| {
+            let gc = GaussianCube::from_alpha(n, a).unwrap();
+            let nodes = gc.num_nodes();
+            (
+                Just(gc),
+                0..1u64 << a,
+                0..a,
+                0..nodes,
+                0..nodes,
+                proptest::collection::vec(0..nodes, 0..6),
+                proptest::collection::vec((0..nodes, 0..n), 0..6),
+            )
+        })
+}
+
+/// `Dim(α, k)` as a dimension bitmask.
+fn class_mask(gc: &GaussianCube, k: u64) -> u64 {
+    dims(gc.n(), gc.alpha(), k)
+        .into_iter()
+        .fold(0, |m, c| m | 1u64 << c)
+}
+
+/// The faults among the candidates that lie outside the block through
+/// `member` spanning the dimensions in `block`.
+fn faults_outside(member: NodeId, block: u64, nodes: Vec<u64>, links: Vec<(u64, u32)>) -> FaultSet {
+    let base = member.0 & !block;
+    let mut faults = FaultSet::new();
+    for v in nodes {
+        if v & !block != base {
+            faults.add_node(NodeId(v));
+        }
+    }
+    for (v, c) in links {
+        if block >> c & 1 == 0 || v & !block != base {
+            faults.add_link(LinkId::new(NodeId(v), c));
+        }
+    }
+    faults
+}
+
+/// The walk from `from` that flips the dimensions in `mask`, ascending.
+fn ascending_flips(from: NodeId, mut mask: u64) -> Vec<NodeId> {
+    let mut out = vec![from];
+    let mut cur = from;
+    while mask != 0 {
+        cur = cur.flip(mask.trailing_zeros());
+        out.push(cur);
+        mask &= mask - 1;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The lemma behind FTGCR's fault-local path: on a crossing block
+    /// `Dim(p) ∪ Dim(q) ∪ {c₀}` with no fault in it, FREH crosses at the
+    /// ideal column `cur` and then flips the target's differing `Dim(q)`
+    /// bits in ascending order, whatever faults lie outside the block.
+    #[test]
+    fn fault_clear_crossing_is_plain_flips(
+        (gc, p, c0, cur, flips, fnodes, flinks) in arb_clear_crossing()
+    ) {
+        let tree = GaussianTree::new(gc.alpha()).unwrap();
+        let q = p ^ 1 << c0;
+        prop_assume!(tree.edge_dim(NodeId(p), NodeId(q)) == Some(c0));
+        let class_bits = (1u64 << gc.alpha()) - 1;
+        let cur = NodeId(cur & !class_bits | p);
+        let (mask_p, mask_q) = (class_mask(&gc, p), class_mask(&gc, q));
+        let landing = cur.flip(c0);
+        let target = NodeId(landing.0 ^ flips & mask_q);
+        let faults = faults_outside(cur, mask_p | mask_q | 1 << c0, fnodes, flinks);
+        let (dp, dq) = (dims(gc.n(), gc.alpha(), p), dims(gc.n(), gc.alpha(), q));
+        let (dims0, dims1) = if NodeId(p).bit(c0) { (&dq, &dp) } else { (&dp, &dq) };
+        let (path, stats) =
+            freh::route_crossing(&gc, &faults, dims0, dims1, c0, cur, target, 1 << 10).unwrap();
+        let mut want = vec![cur];
+        want.extend(ascending_flips(landing, landing.0 ^ target.0));
+        prop_assert_eq!(path, want);
+        prop_assert_eq!(stats, CrossingStats { crossings: 1, ..CrossingStats::default() });
+    }
+
+    /// The same lemma for a GEEC subcube: adaptive routing in a fault-free
+    /// virtual cube flips the differing dimensions in ascending order.
+    #[test]
+    fn fault_free_adaptive_is_ascending_flips(
+        (gc, k, _c0, cur, flips, fnodes, flinks) in arb_clear_crossing()
+    ) {
+        let class_bits = (1u64 << gc.alpha()) - 1;
+        let cur = NodeId(cur & !class_bits | k);
+        let mask = class_mask(&gc, k);
+        let target = NodeId(cur.0 ^ flips & mask);
+        let faults = faults_outside(cur, mask, fnodes, flinks);
+        let vc = VirtualCube::from_host(&gc, &faults, cur, &dims(gc.n(), gc.alpha(), k));
+        prop_assert_eq!(vc.fault_count(), 0);
+        let (coords, stats) = route_adaptive(&vc, vc.coord(cur), vc.coord(target)).unwrap();
+        prop_assert_eq!(to_host_path(&vc, &coords), ascending_flips(cur, cur.0 ^ target.0));
+        prop_assert_eq!(stats, RouteStats::default());
     }
 }
 

@@ -24,9 +24,14 @@ use crate::topology::Topology;
 
 /// The high dimensions `Dim(α, k)` available to ending class `k`, ascending.
 pub fn dims(n: u32, alpha: u32, k: u64) -> Vec<u32> {
+    dims_iter(n, alpha, k).collect()
+}
+
+/// The members of `Dim(α, k)`, ascending.
+fn dims_iter(n: u32, alpha: u32, k: u64) -> impl Iterator<Item = u32> {
     debug_assert!(alpha < 64 && k < (1u64 << alpha).max(1));
     let period = 1u64 << alpha;
-    (alpha..n).filter(|&c| u64::from(c) % period == k).collect()
+    (alpha..n).filter(move |&c| u64::from(c) % period == k)
 }
 
 /// `|Dim(α, k)|` without materialising the set.
@@ -177,12 +182,13 @@ pub fn class_dim_lists(n: u32, alpha: u32) -> Vec<Vec<u32>> {
 /// under a trailing-zeros scan.
 pub fn class_dim_masks(n: u32, alpha: u32) -> Vec<u64> {
     (0..(1u64 << alpha))
-        .map(|k| {
-            dims(n, alpha, k)
-                .into_iter()
-                .fold(0u64, |m, c| m | (1u64 << c))
-        })
+        .map(|k| dim_mask(n, alpha, k))
         .collect()
+}
+
+/// `Dim(α, k)` as one dimension bitmask, without allocating.
+pub fn dim_mask(n: u32, alpha: u32, k: u64) -> u64 {
+    dims_iter(n, alpha, k).fold(0u64, |m, c| m | (1u64 << c))
 }
 
 /// [`required_tree_nodes`] packed as a class bitmask: bit `k` is set iff
